@@ -27,11 +27,13 @@ do not) catch but that this codebase bans:
                           obs/names.h, so they stay lowercase dotted words;
                           obs/names.h itself is the one place to mint them
   raw-socket              socket()/connect()/bind()/send()/recv() and
-                          friends outside src/consentdb/net/ — every byte
+                          friends, and the readiness calls poll()/ppoll()/
+                          epoll_*(), outside src/consentdb/net/ — every byte
                           that crosses a process boundary goes through the
                           Transport seam (util/transport.h) so the chaos
-                          harness can interpose; only the net/ module owns
-                          real sockets
+                          harness can interpose, and idle callers wait
+                          through Transport::WaitReady; only the net/ module
+                          owns real sockets
   nested-vector-strategy  a std::vector<std::vector<...>> in
                           src/consentdb/strategy/ — the probing hot path is
                           columnar (flat arrays + CSR offsets) precisely to
@@ -115,7 +117,8 @@ OBS_NAME_EXEMPT_FILES = {Path("src/consentdb/obs/names.h")}
 RAW_SOCKET_RE = re.compile(
     r"(?<![\w.>])(?:socket|connect|bind|listen|accept|accept4|send|recv|"
     r"sendto|recvfrom|sendmsg|recvmsg|setsockopt|getsockopt|getsockname|"
-    r"getpeername|getaddrinfo|inet_pton|inet_ntop)\s*\("
+    r"getpeername|getaddrinfo|inet_pton|inet_ntop|"
+    r"poll|ppoll|epoll_create1|epoll_ctl|epoll_wait)\s*\("
 )
 # The one module allowed to touch sockets: the transport implementations.
 RAW_SOCKET_EXEMPT_DIR = ("src", "consentdb", "net")

@@ -264,6 +264,37 @@ class RawSocketTest(LintHarness):
                    "}\n")
         self.assertEqual(self.rules(), [])
 
+    def test_flags_readiness_calls(self):
+        self.write("src/consentdb/core/a.cc",
+                   "void f(pollfd* fds, int ep, epoll_event* ev) {\n"
+                   "  ::poll(fds, 1, 1);\n"
+                   "  ppoll(fds, 1, ts, nullptr);\n"
+                   "  int e = epoll_create1(0);\n"
+                   "  epoll_ctl(ep, EPOLL_CTL_ADD, fd, ev);\n"
+                   "  epoll_wait(ep, ev, 1, 1);\n"
+                   "}\n")
+        self.assertEqual(self.rules(), ["raw-socket"] * 5)
+
+    def test_readiness_calls_in_net_module_ok(self):
+        self.write("src/consentdb/net/posix_transport.cc",
+                   "bool f(pollfd* fds) {\n"
+                   "  return ::poll(fds, 2, 1) >= 0;\n"
+                   "}\n")
+        self.assertEqual(self.rules(), [])
+
+    def test_poll_methods_and_longer_names_ok(self):
+        # The server's Poll()/PollLocked() and the seam's WaitReady are the
+        # sanctioned spellings; only the bare lowercase syscalls fire.
+        self.write("src/consentdb/core/a.cc",
+                   "void f(ProbeServer& s, Transport& t) {\n"
+                   "  s.Poll();\n"
+                   "  server->poll(1);\n"
+                   "  t.WaitReady(nullptr, {}, 1);\n"
+                   "  repoll(1);\n"
+                   "  my_epoll_wait(1);\n"
+                   "}\n")
+        self.assertEqual(self.rules(), [])
+
     def test_transport_seam_methods_ok(self):
         # Transport::Connect / Listener::Accept / Reconnect are the sanctioned
         # spellings; method calls and longer identifiers must not fire.

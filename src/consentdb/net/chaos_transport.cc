@@ -183,9 +183,12 @@ class ChaosListener : public Listener {
   std::string address() const override { return ls_->address; }
 
   void Close() override {
+    // Unaccepted connections close themselves on destruction, which takes
+    // the transport lock: destroy them only after releasing it.
+    std::deque<std::unique_ptr<Connection>> unaccepted;
     MutexLock lock(state_->mu);
     ls_->closed = true;
-    ls_->pending.clear();
+    unaccepted.swap(ls_->pending);
     state_->listeners.erase(ls_->address);
   }
 

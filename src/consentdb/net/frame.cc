@@ -69,9 +69,10 @@ std::string EncodeFrame(uint8_t type, std::string_view body) {
   PutU8(&payload, type);
   payload.append(body);
   std::string frame;
-  frame.reserve(8 + payload.size());
+  frame.reserve(kFrameHeaderBytes + payload.size());
   PutU32(&frame, static_cast<uint32_t>(payload.size()));
   PutU32(&frame, Crc32(payload));
+  PutU32(&frame, Crc32(frame));
   frame.append(payload);
   return frame;
 }
@@ -81,12 +82,19 @@ FrameParser::Event FrameParser::Next(Frame* frame) {
   size_t pos = 0;
   uint32_t len = 0;
   uint32_t crc = 0;
+  uint32_t header_crc = 0;
   if (!GetU32(buffer_, &pos, &len)) return Event::kNone;
   if (len == 0 || len > kMaxFramePayload) {
     corrupt_ = true;
     return Event::kCorrupt;
   }
   if (!GetU32(buffer_, &pos, &crc)) return Event::kNone;
+  const std::string_view checked(buffer_.data(), pos);
+  if (!GetU32(buffer_, &pos, &header_crc)) return Event::kNone;
+  if (Crc32(checked) != header_crc) {
+    corrupt_ = true;
+    return Event::kCorrupt;
+  }
   if (pos + len > buffer_.size()) return Event::kNone;
   std::string_view payload(buffer_.data() + pos, len);
   if (Crc32(payload) != crc) {

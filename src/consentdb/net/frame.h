@@ -3,13 +3,17 @@
 //
 // Stream format (binary, little-endian):
 //
-//   [ u32 payload_len | u32 crc32(payload) | payload ]*
+//   [ u32 payload_len | u32 crc32(payload) | u32 crc32(first 8 bytes) |
+//     payload ]*
 //
 // with payload = { u8 frame_type | body }. Frames are length-prefixed and
 // CRC-checksummed, so a torn tail (connection dropped mid-frame) is simply
 // an incomplete buffer that dies with the connection, while a corrupted
 // frame (bit flip in flight) is detected and reported — the receiver must
-// treat it as fatal for the connection, never try to resynchronize.
+// treat it as fatal for the connection, never try to resynchronize. The
+// header checksum covers the length and payload CRC: a corrupted length is
+// rejected as soon as the 12-byte header arrives, instead of making the
+// receiver wait for a payload that never completes.
 //
 // Every encoded byte is a pure function of the message fields: no map
 // iteration order, no clocks, no addresses ever reach the wire, so two runs
@@ -30,6 +34,9 @@ namespace consentdb::net {
 // Upper bound on one frame's payload; a length prefix beyond this is a
 // framing violation (garbage or an attack), not a big message.
 inline constexpr uint32_t kMaxFramePayload = 1u << 20;
+
+// Length, payload CRC and header CRC.
+inline constexpr size_t kFrameHeaderBytes = 12;
 
 // --- Little-endian field primitives (shared by frame.cc and protocol.cc) ---
 
@@ -63,7 +70,7 @@ class FrameParser {
   enum class Event : uint8_t {
     kNone,    // no complete frame buffered yet
     kFrame,   // *frame was filled
-    kCorrupt  // CRC/length violation — drop the connection
+    kCorrupt  // checksum/length violation — drop the connection
   };
 
   void Feed(std::string_view bytes) { buffer_.append(bytes); }

@@ -5,11 +5,14 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
 #include <cstring>
+#include <vector>
 
 namespace consentdb::net {
 namespace {
@@ -98,6 +101,8 @@ class PosixConnection : public Connection {
     }
   }
 
+  int fd() const { return fd_; }
+
  private:
   int fd_;
   bool eof_ = false;
@@ -136,10 +141,20 @@ class PosixListener : public Listener {
     }
   }
 
+  int fd() const { return fd_; }
+
  private:
   int fd_;
   const std::string address_;
 };
+
+// poll(2) counts in whole milliseconds: round up, so a sub-millisecond wait
+// still sleeps rather than spinning.
+int PollTimeoutMillis(int64_t timeout_nanos) {
+  if (timeout_nanos <= 0) return 0;
+  const int64_t millis = (timeout_nanos + 999'999) / 1'000'000;
+  return millis > INT_MAX ? INT_MAX : static_cast<int>(millis);
+}
 
 }  // namespace
 
@@ -200,6 +215,29 @@ Result<std::unique_ptr<Connection>> PosixTransport::Connect(
   const int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return std::unique_ptr<Connection>(std::make_unique<PosixConnection>(fd));
+}
+
+bool PosixTransport::WaitReady(const Listener* listener,
+                               std::span<const WaitInterest> conns,
+                               int64_t timeout_nanos) {
+  // poll(2) skips the negative fd of an endpoint closed on this side.
+  std::vector<pollfd> fds;
+  fds.reserve(conns.size() + 1);
+  if (listener != nullptr) {
+    const auto* posix = dynamic_cast<const PosixListener*>(listener);
+    if (posix == nullptr) return false;
+    fds.push_back(pollfd{posix->fd(), POLLIN, 0});
+  }
+  for (const WaitInterest& interest : conns) {
+    const auto* posix = dynamic_cast<const PosixConnection*>(interest.conn);
+    if (posix == nullptr) return false;
+    const short events = static_cast<short>(
+        POLLIN | (interest.output_queued ? POLLOUT : 0));
+    fds.push_back(pollfd{posix->fd(), events, 0});
+  }
+  // EINTR and errors end the wait early; the caller re-reads either way.
+  ::poll(fds.data(), fds.size(), PollTimeoutMillis(timeout_nanos));
+  return true;
 }
 
 }  // namespace consentdb::net

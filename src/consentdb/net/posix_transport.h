@@ -8,8 +8,10 @@
 // All sockets are non-blocking, matching the Transport contract: Accept()
 // returns OK-null when nothing is pending, Read() drains what the kernel
 // has, Write() may accept only part of the buffer when the send queue is
-// full. This file is the only place in the tree allowed to touch the
-// socket API directly (consentdb-lint `raw-socket`).
+// full. WaitReady() is one poll(2) over the listener and connection fds, so
+// an idle server or client sleeps in the kernel until bytes arrive. This
+// file is the only place in the tree allowed to touch the socket and
+// readiness APIs directly (consentdb-lint `raw-socket`).
 
 #ifndef CONSENTDB_NET_POSIX_TRANSPORT_H_
 #define CONSENTDB_NET_POSIX_TRANSPORT_H_
@@ -26,6 +28,8 @@ class PosixTransport : public Transport {
   Result<std::unique_ptr<Listener>> Listen(const std::string& address) override;
   Result<std::unique_ptr<Connection>> Connect(
       const std::string& address) override;
+  bool WaitReady(const Listener* listener, std::span<const WaitInterest> conns,
+                 int64_t timeout_nanos) override;
 };
 
 }  // namespace consentdb::net

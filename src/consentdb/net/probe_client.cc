@@ -5,7 +5,8 @@
 namespace consentdb::net {
 namespace {
 
-constexpr int64_t kIdleNapNanos = 1'000'000;  // 1ms
+// Longest idle wait between reads: the stall clock is checked this often.
+constexpr int64_t kIdleWaitNanos = 1'000'000;  // 1ms
 
 }  // namespace
 
@@ -72,7 +73,10 @@ Result<std::string> ProbeClient::RunSession(const OpenSession& open) {
       if (options_.idle) {
         options_.idle();
       } else {
-        clock_->SleepFor(kIdleNapNanos);
+        const WaitInterest interest{conn_.get(), !out_.empty()};
+        if (!transport_.WaitReady(nullptr, {&interest, 1}, kIdleWaitNanos)) {
+          clock_->SleepFor(kIdleWaitNanos);
+        }
       }
       continue;
     }

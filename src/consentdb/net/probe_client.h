@@ -14,10 +14,13 @@
 // again — zero duplicate peer probes, no matter how often the conversation
 // is torn down and replayed.
 //
-// Decide() blocks its caller. Cooperative single-threaded tests (the chaos
-// harness) supply `idle`, invoked whenever nothing is readable, to pump the
-// server and advance the virtual clock; real-socket callers leave it unset
-// and the client naps on the clock between polls.
+// Decide() blocks its caller. When nothing is readable the client waits on
+// the connection's readiness (Transport::WaitReady, at most 1 ms per wait so
+// the stall clock keeps being checked): over PosixTransport a probe costs
+// one loopback round trip and no timer. A transport that cannot wait makes
+// the client nap 1 ms on its clock instead. Cooperative single-threaded
+// tests (the chaos harness) supply `idle`, invoked in place of either, to
+// pump the server and advance the virtual clock.
 
 #ifndef CONSENTDB_NET_PROBE_CLIENT_H_
 #define CONSENTDB_NET_PROBE_CLIENT_H_
@@ -49,16 +52,17 @@ struct ProbeClientOptions {
   // *consecutive* failures — any successfully received frame resets the
   // count.
   core::RetryPolicy reconnect;
-  // Time source for reconnect backoff and idle naps; null = the real clock.
+  // Time source for reconnect backoff, the stall clock and the fallback
+  // idle nap; null = the real clock.
   Clock* clock = nullptr;
-  // A connection that stays readable but yields no decodable frame for this
+  // A connection that stays open but yields no decodable frame for this
   // long is torn down and re-established (counts as one reconnect attempt).
-  // This is the only defence against silent stream stalls — e.g. a length
-  // prefix corrupted into a frame larger than the peer will ever send, which
-  // the CRC can never reject because the frame never completes. 0 disables.
+  // This is the defence against silent stream stalls: a wedged peer, or a
+  // stream that stops mid-frame. (A corrupted length prefix never gets
+  // this far: the frame header checksum rejects it on arrival.) 0 disables.
   int64_t stall_timeout_nanos = 5'000'000'000;  // 5s
   // Called whenever nothing is readable (cooperative test drivers pump the
-  // server here). Unset, the client sleeps ~1ms on the clock instead.
+  // server here). Unset, the client waits on the connection's readiness.
   std::function<void()> idle;
   // Observer invoked for each fresh ProbeRequest just before the oracle is
   // asked (not for cached replays) — the shell uses it to show the peer's

@@ -10,7 +10,9 @@
 namespace consentdb::net {
 namespace {
 
-constexpr int64_t kIdlePollSleepNanos = 1'000'000;  // 1ms
+// Longest idle wait between sweeps: timers (deadlines, kWait backoff) and
+// stop requests are seen at this granularity.
+constexpr int64_t kIdleWaitNanos = 1'000'000;  // 1ms
 
 }  // namespace
 
@@ -43,6 +45,12 @@ std::string ProbeServer::address() const {
 }
 
 size_t ProbeServer::Poll() {
+  CONSENTDB_CHECK(!pumping_.load(std::memory_order_relaxed),
+                  "ProbeServer::Poll called while Start()'s loop runs");
+  return Sweep();
+}
+
+size_t ProbeServer::Sweep() {
   MutexLock lock(mu_);
   return PollLocked();
 }
@@ -476,11 +484,33 @@ void ProbeServer::UpdateGauges() {
                 static_cast<double>(stats_.connections));
 }
 
+void ProbeServer::WaitIdle() {
+  std::vector<WaitInterest> interests;
+  const Listener* listener = nullptr;
+  {
+    MutexLock lock(mu_);
+    interests.reserve(conns_.size());
+    for (const auto& [cid, state] : conns_) {
+      interests.push_back(WaitInterest{state.conn.get(), !state.out.empty()});
+    }
+    // At the connection cap AcceptLocked leaves the backlog alone, so a
+    // pending connection must not end the wait either.
+    if (conns_.size() < options_.max_connections) listener = listener_.get();
+  }
+  // Endpoints are only added and dropped by the one thread that sweeps, and
+  // that is the caller, so they outlive the wait without holding mu_ (which
+  // would starve stats() and address() callers: the loop re-locks at once).
+  if (!transport_.WaitReady(listener, interests, kIdleWaitNanos)) {
+    clock_->SleepFor(kIdleWaitNanos);
+  }
+}
+
 void ProbeServer::Start() {
   CONSENTDB_CHECK(!pump_.joinable(), "ProbeServer::Start called twice");
+  pumping_.store(true, std::memory_order_relaxed);
   pump_ = std::thread([this] {
     while (!stop_.load(std::memory_order_relaxed)) {
-      if (Poll() == 0) clock_->SleepFor(kIdlePollSleepNanos);
+      if (Sweep() == 0) WaitIdle();
     }
   });
 }
@@ -495,12 +525,13 @@ void ProbeServer::Shutdown(int64_t drain_deadline_nanos) {
   BeginDrain();
   stop_.store(true, std::memory_order_relaxed);
   if (pump_.joinable()) pump_.join();
+  pumping_.store(false, std::memory_order_relaxed);
 
   // Give in-flight sessions a bounded chance to finish and their reports a
   // chance to flush. Works on the virtual clock too: idle polls advance it.
   const int64_t deadline = clock_->NowNanos() + drain_deadline_nanos;
   while (true) {
-    size_t work = Poll();
+    size_t work = Sweep();
     bool unfinished;
     {
       MutexLock lock(mu_);
@@ -508,7 +539,7 @@ void ProbeServer::Shutdown(int64_t drain_deadline_nanos) {
     }
     if (!unfinished) break;
     if (clock_->NowNanos() >= deadline) break;
-    if (work == 0) clock_->SleepFor(kIdlePollSleepNanos);
+    if (work == 0) WaitIdle();
   }
 
   MutexLock lock(mu_);

@@ -5,7 +5,11 @@
 // accepts connections, decodes frames, advances sessions, and enforces
 // timers; Start() runs that loop on a background thread for real-socket
 // serving, while tests (and the chaos harness) call Poll() from their own
-// cooperative driver.
+// cooperative loop. Between idle sweeps the background loop (and
+// Shutdown's drain) block in Transport::WaitReady on the listener and every
+// live connection, at most 1 ms, so a request is handled as soon as its
+// bytes arrive and timers keep a 1 ms granularity; over a transport that
+// cannot wait the loop naps 1 ms on the clock instead.
 //
 // Sessions are resumable server-side objects addressed by a client-chosen
 // id, not by their connection. A probing session parks while it waits for
@@ -104,7 +108,8 @@ class ProbeServer {
 
   // One reactor sweep: accept, read, decode, advance sessions, fire timers,
   // flush. Returns the number of work items handled (0 = idle sweep).
-  // Thread-safe, but intended for one driver at a time.
+  // For cooperative callers: call it from one thread at a time, and never
+  // while Start()'s loop runs (checked) — that loop then does the sweeping.
   size_t Poll();
 
   // Runs Poll() on a background thread until Shutdown(). For real-socket
@@ -152,6 +157,12 @@ class ProbeServer {
     std::string error_message;
   };
 
+  // Poll() without the caller check: Start()'s loop and Shutdown's drain.
+  size_t Sweep();
+  // After an idle sweep: waits until the listener or a connection is ready,
+  // at most 1 ms, or naps 1 ms on the clock when the transport cannot wait.
+  // Only the sweeping thread may call it.
+  void WaitIdle();
   size_t PollLocked() REQUIRES(mu_);
   size_t AcceptLocked() REQUIRES(mu_);
   size_t ReadConnLocked(uint64_t cid) REQUIRES(mu_);
@@ -187,6 +198,7 @@ class ProbeServer {
   bool draining_ GUARDED_BY(mu_) = false;
 
   std::atomic<bool> stop_{false};
+  std::atomic<bool> pumping_{false};  // Start()'s loop is sweeping
   std::thread pump_;  // Start()'s background loop
 };
 

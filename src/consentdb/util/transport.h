@@ -17,11 +17,18 @@
 // whatever is available right now (possibly nothing), and a dropped or
 // closed connection surfaces as kUnavailable from either call. Message
 // boundaries are a higher layer's job (net/frame.h).
+//
+// An idle caller has nothing to do until bytes arrive. Transport::WaitReady
+// lets it block on the endpoints' readiness instead of napping on a clock;
+// a transport that cannot (the chaos harness, decorators) says so, and the
+// caller keeps its own cooperative idle path.
 
 #ifndef CONSENTDB_UTIL_TRANSPORT_H_
 #define CONSENTDB_UTIL_TRANSPORT_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -67,6 +74,14 @@ class Listener {
   virtual void Close() = 0;
 };
 
+// One connection a readiness wait watches: always for input (or close), and
+// for room in its send queue when the caller still holds bytes the
+// connection refused.
+struct WaitInterest {
+  Connection* conn = nullptr;
+  bool output_queued = false;
+};
+
 // The transport interface. Implementations are thread-safe; the endpoints
 // they hand out are not.
 class Transport {
@@ -78,6 +93,20 @@ class Transport {
 
   [[nodiscard]] virtual Result<std::unique_ptr<Connection>> Connect(
       const std::string& address) = 0;
+
+  // Blocks until `listener` (may be null) has a pending connection, one of
+  // `conns` is readable, closed, or writable where output is queued, or
+  // `timeout_nanos` has passed — whichever comes first. Returns true once
+  // it has waited (a wake-up promises nothing: the caller reads and finds
+  // out); false when this transport cannot wait on these endpoints (it has
+  // no wait, or one came from another transport), and the caller naps on
+  // its own clock instead. No other thread may close the endpoints during
+  // the wait.
+  virtual bool WaitReady(const Listener* /*listener*/,
+                         std::span<const WaitInterest> /*conns*/,
+                         int64_t /*timeout_nanos*/) {
+    return false;
+  }
 };
 
 }  // namespace consentdb

@@ -3,7 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "consentdb/eval/evaluate.h"
+#include "consentdb/net/frame.h"
+#include "consentdb/net/protocol.h"
 #include "consentdb/provenance/normal_form.h"
 #include "consentdb/query/optimize.h"
 #include "consentdb/query/parser.h"
@@ -114,6 +121,158 @@ TEST_P(CsvFuzzTest, RandomDocumentsNeverCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsvFuzzTest, ::testing::Range(0, 3));
+
+// --- Network decoders ----------------------------------------------------------
+// Seeded mutations of valid wire bytes reach the two decoders of untrusted
+// network input: whole streams go through FrameParser in random chunks,
+// single bodies straight into DecodeMessage. Every call returns, the parse
+// loop ends within a step bound set by the byte count, and every frame
+// either decodes to a message that re-encodes to the same bytes or fails
+// with a Status.
+
+std::vector<net::Message> SampleMessages() {
+  return {
+      net::OpenSession{42, "tenant-a", "SELECT x FROM T", 1, "1,'ana'", 5000},
+      net::ProbeRequest{42, 7, "x7", "ana"},
+      net::ProbeAnswer{42, 7, 1},
+      net::ProbeFaultMsg{42, 7, 2},
+      net::SessionReportMsg{42, "{\"probes\":3}"},
+      net::ErrorMsg{42, 9, "server is at capacity", 1'000'000'000},
+      net::AckMsg{42},
+      net::PingMsg{0xDEAD},
+      net::PongMsg{0xDEAD},
+  };
+}
+
+// A u32 that lands in every regime a length field can be in: tiny, within
+// the frame limit, just past it, and anything at all.
+uint32_t RandomLength(Rng& rng) {
+  switch (rng.UniformIndex(4)) {
+    case 0:
+      return static_cast<uint32_t>(rng.UniformIndex(16));
+    case 1:
+      return static_cast<uint32_t>(1 + rng.UniformIndex(net::kMaxFramePayload));
+    case 2:
+      return net::kMaxFramePayload + 1;
+    default:
+      return static_cast<uint32_t>(rng.Fork());
+  }
+}
+
+// One mutation of `bytes`: truncation, bit flips, a slice of `donor`
+// spliced in, or a u32 (a frame length or a string length prefix, when
+// `length_offsets` names one) rewritten.
+std::string Mutate(std::string bytes, std::string_view donor,
+                   const std::vector<size_t>& length_offsets, Rng& rng) {
+  if (bytes.empty()) return bytes;
+  switch (rng.UniformIndex(4)) {
+    case 0:
+      bytes.resize(rng.UniformIndex(bytes.size()));
+      break;
+    case 1:
+      for (size_t flips = 1 + rng.UniformIndex(4); flips > 0; --flips) {
+        const size_t bit = rng.UniformIndex(bytes.size() * 8);
+        bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+      }
+      break;
+    case 2: {
+      const size_t from = rng.UniformIndex(donor.size());
+      const size_t len = 1 + rng.UniformIndex(donor.size() - from);
+      bytes.insert(rng.UniformIndex(bytes.size() + 1),
+                   std::string(donor.substr(from, len)));
+      break;
+    }
+    default: {
+      size_t at = length_offsets.empty() || rng.Bernoulli(0.25)
+                      ? rng.UniformIndex(bytes.size())
+                      : length_offsets[rng.UniformIndex(length_offsets.size())];
+      if (at + 4 > bytes.size()) at = bytes.size() < 4 ? 0 : bytes.size() - 4;
+      std::string field;
+      net::PutU32(&field, RandomLength(rng));
+      bytes.replace(at, std::min<size_t>(4, bytes.size() - at), field);
+      break;
+    }
+  }
+  return bytes;
+}
+
+// A decoded message must re-encode to the very frame it came from.
+void ExpectCanonical(const net::Frame& frame) {
+  Result<net::Message> decoded = net::DecodeMessage(frame.type, frame.body);
+  if (decoded.ok()) {
+    EXPECT_EQ(net::EncodeMessage(*decoded), net::EncodeFrame(frame.type,
+                                                             frame.body));
+  } else {
+    EXPECT_FALSE(decoded.status().message().empty());
+  }
+}
+
+class NetDecoderFuzzTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(NetDecoderFuzzTest, MutatedStreamsFailWithStatusNotCrash) {
+  Rng rng(44000 + GetParam());
+  std::string base;
+  std::vector<size_t> frame_starts;
+  for (const net::Message& msg : SampleMessages()) {
+    frame_starts.push_back(base.size());
+    base += net::EncodeMessage(msg);
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string stream = base;
+    for (size_t edits = 1 + rng.UniformIndex(3); edits > 0; --edits) {
+      stream = Mutate(std::move(stream), base, frame_starts, rng);
+    }
+    // Every frame consumes at least a header and a type byte.
+    const size_t max_frames = stream.size() / (net::kFrameHeaderBytes + 1);
+    net::FrameParser parser;
+    size_t frames = 0;
+    bool corrupt = false;
+    for (size_t off = 0; off < stream.size() && !corrupt;) {
+      const size_t chunk = 1 + rng.UniformIndex(64);
+      parser.Feed(std::string_view(stream).substr(off, chunk));
+      off += chunk;
+      while (true) {
+        net::Frame frame;
+        const net::FrameParser::Event event = parser.Next(&frame);
+        if (event == net::FrameParser::Event::kNone) break;
+        if (event == net::FrameParser::Event::kCorrupt) {
+          corrupt = true;
+          EXPECT_EQ(parser.Next(&frame), net::FrameParser::Event::kCorrupt);
+          break;
+        }
+        ASSERT_LE(++frames, max_frames) << "trial " << trial;
+        ExpectCanonical(frame);
+      }
+    }
+    EXPECT_LE(parser.buffered_bytes(), stream.size());
+  }
+}
+
+TEST_P(NetDecoderFuzzTest, MutatedBodiesFailWithStatusNotCrash) {
+  Rng rng(45000 + GetParam());
+  std::vector<net::Frame> frames;
+  std::string donor;
+  for (const net::Message& msg : SampleMessages()) {
+    const std::string wire = net::EncodeMessage(msg);
+    net::Frame frame;
+    frame.type = static_cast<uint8_t>(wire[net::kFrameHeaderBytes]);
+    frame.body = wire.substr(net::kFrameHeaderBytes + 1);
+    donor += frame.body;
+    frames.push_back(std::move(frame));
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    net::Frame frame = frames[rng.UniformIndex(frames.size())];
+    // String length prefixes sit after a u64 session id in most bodies.
+    const std::vector<size_t> length_offsets = {8, 9, 16};
+    for (size_t edits = 1 + rng.UniformIndex(3); edits > 0; --edits) {
+      frame.body = Mutate(std::move(frame.body), donor, length_offsets, rng);
+    }
+    if (rng.Bernoulli(0.1)) frame.type = static_cast<uint8_t>(rng.Fork());
+    ExpectCanonical(frame);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NetDecoderFuzzTest, ::testing::Range(0, 4));
 
 // --- Probability sanity (Monte Carlo) -----------------------------------------------
 

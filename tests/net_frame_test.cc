@@ -86,7 +86,7 @@ TEST(FrameParser, IncompleteTailIsNotAFrame) {
 
 TEST(FrameParser, BitFlipIsCorruptAndSticky) {
   std::string stream = EncodeFrame(1, "payload") + EncodeFrame(2, "after");
-  stream[10] = static_cast<char>(stream[10] ^ 0x40);  // flip inside payload 1
+  stream[14] = static_cast<char>(stream[14] ^ 0x40);  // flip inside payload 1
   FrameParser parser;
   parser.Feed(stream);
   Frame f;
@@ -95,6 +95,32 @@ TEST(FrameParser, BitFlipIsCorruptAndSticky) {
   // the stream has lost sync for good.
   EXPECT_EQ(parser.Next(&f), FrameParser::Event::kCorrupt);
   EXPECT_TRUE(parser.corrupt());
+}
+
+TEST(FrameParser, HeaderLayout) {
+  const std::string frame = EncodeFrame(7, "ab");
+  ASSERT_EQ(frame.size(), kFrameHeaderBytes + 3);
+  size_t pos = 0;
+  uint32_t len = 0;
+  ASSERT_TRUE(GetU32(frame, &pos, &len));
+  EXPECT_EQ(len, 3u);
+  EXPECT_EQ(static_cast<uint8_t>(frame[kFrameHeaderBytes]), 7);
+}
+
+TEST(FrameParser, HeaderBitFlipIsCorruptOnceHeaderArrives) {
+  // Any flipped bit in the length, the payload CRC or the header CRC is
+  // rejected from the 12 header bytes alone — a length rewritten in range,
+  // longer or shorter than the real payload, included: the parser never
+  // waits for a payload the peer will not send.
+  const std::string frame = EncodeFrame(1, std::string(40, 'p'));
+  for (size_t bit = 0; bit < kFrameHeaderBytes * 8; ++bit) {
+    std::string header = frame.substr(0, kFrameHeaderBytes);
+    header[bit / 8] = static_cast<char>(header[bit / 8] ^ (1 << (bit % 8)));
+    FrameParser parser;
+    parser.Feed(header);
+    Frame f;
+    EXPECT_EQ(parser.Next(&f), FrameParser::Event::kCorrupt) << "bit " << bit;
+  }
 }
 
 TEST(FrameParser, OversizeLengthPrefixIsCorrupt) {

@@ -124,8 +124,8 @@ RunOutcome RunOnce(const consent::SharedDatabase& sdb, ChaosPlan plan,
   // Generous but bounded: a livelocked schedule fails the test instead of
   // hanging it. Backoff sleeps advance the virtual clock, not real time.
   copts.reconnect.max_attempts = 500;
-  // Short virtual stall timeout: a corrupted length prefix can stall the
-  // stream without ever failing the CRC; the timeout is what recovers it.
+  // Short virtual stall timeout, so a stream that stops mid-frame recovers
+  // within the virtual time the schedule gives it.
   copts.stall_timeout_nanos = 50'000'000;
   copts.idle = [&server, &clock] {
     server.Poll();
@@ -204,6 +204,20 @@ TEST(NetworkChaos, SameSeedSameSchedule) {
     EXPECT_EQ(a.transport.corruptions, b.transport.corruptions)
         << "seed " << seed;
   }
+}
+
+TEST(NetworkChaos, ListenerClosesWithAnUnacceptedConnection) {
+  // The pending server end closes itself as the listener drops it; that
+  // must not re-take the transport lock Close() holds.
+  VirtualClock clock(0);
+  ChaosTransport transport(ChaosPlan{}, &clock);
+  Result<std::unique_ptr<Listener>> listener = transport.Listen("srv");
+  ASSERT_TRUE(listener.ok());
+  Result<std::unique_ptr<Connection>> client = transport.Connect("srv");
+  ASSERT_TRUE(client.ok());
+  (*listener)->Close();
+  EXPECT_FALSE((*listener)->Accept().ok());
+  EXPECT_FALSE((*client)->Read().ok());
 }
 
 TEST(NetworkChaos, DrainingServerShedsFastUnderChaos) {

@@ -2,7 +2,8 @@
 // transport: end-to-end reports byte-identical to the in-process pipeline,
 // admission control and per-tenant quotas, deadline expiry (resilient and
 // not), detach/resume with zero duplicate peer probes, completed-report
-// re-delivery until the Ack, graceful drain, and the posix loopback path.
+// re-delivery until the Ack, graceful drain, the posix loopback path, and
+// the readiness wait that keeps an idle server and client off the clock.
 //
 // The chaos grid (network_chaos_test.cc) layers randomized transport
 // faults on top of the same harness; this file pins down the intended
@@ -583,6 +584,149 @@ TEST(ProbeServer, PosixLoopbackEndToEnd) {
   EXPECT_EQ(*json, BaselineJson(sdb, testing::RecruitmentQuerySql(),
                                 baseline_oracle));
   server.Shutdown(/*drain_deadline_nanos=*/1'000'000'000);
+}
+
+// --- Readiness waits -------------------------------------------------------
+// Timing is never asserted: a wait that should end on readiness gets a
+// bound the test never approaches, and one that should time out only has
+// to return.
+
+constexpr int64_t kNeverNanos = 60'000'000'000;  // 60s
+
+// The server end of a fresh loopback connection to `listener`.
+std::unique_ptr<Connection> AcceptOne(PosixTransport& posix,
+                                      Listener& listener) {
+  while (true) {
+    CONSENTDB_CHECK(posix.WaitReady(&listener, {}, kNeverNanos),
+                    "posix transport refused to wait on its listener");
+    Result<std::unique_ptr<Connection>> conn = listener.Accept();
+    CONSENTDB_CHECK(conn.ok(), conn.status().ToString());
+    if (*conn != nullptr) return std::move(*conn);
+  }
+}
+
+TEST(TransportWait, PosixWaitReturnsOnceThePeerWrites) {
+  PosixTransport posix;
+  Result<std::unique_ptr<Listener>> listener = posix.Listen("0");
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  Result<std::unique_ptr<Connection>> client =
+      posix.Connect((*listener)->address());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  std::unique_ptr<Connection> server = AcceptOne(posix, **listener);
+
+  Result<size_t> sent = (*client)->Write("ping");
+  ASSERT_TRUE(sent.ok());
+  ASSERT_EQ(*sent, 4u);
+  const WaitInterest interest{server.get(), false};
+  std::string got;
+  while (got.size() < 4) {
+    ASSERT_TRUE(posix.WaitReady(nullptr, {&interest, 1}, kNeverNanos));
+    Result<std::string> data = server->Read();
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    got += *data;
+  }
+  EXPECT_EQ(got, "ping");
+
+  // A closed peer is readiness too: the wait ends and Read reports it.
+  (*client)->Close();
+  ASSERT_TRUE(posix.WaitReady(nullptr, {&interest, 1}, kNeverNanos));
+  EXPECT_FALSE(server->Read().ok());
+}
+
+TEST(TransportWait, PosixWaitReturnsAfterTheTimeoutWhenNothingArrives) {
+  PosixTransport posix;
+  Result<std::unique_ptr<Listener>> listener = posix.Listen("0");
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  Result<std::unique_ptr<Connection>> client =
+      posix.Connect((*listener)->address());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  std::unique_ptr<Connection> server = AcceptOne(posix, **listener);
+
+  // Both ends idle, the client's send queue empty but watched for room.
+  const WaitInterest interest{server.get(), false};
+  EXPECT_TRUE(posix.WaitReady(listener->get(), {&interest, 1}, 1'000'000));
+  Result<std::string> data = server->Read();
+  ASSERT_TRUE(data.ok());
+  EXPECT_TRUE(data->empty());
+  const WaitInterest writable{client->get(), true};
+  EXPECT_TRUE(posix.WaitReady(nullptr, {&writable, 1}, kNeverNanos));
+}
+
+TEST(TransportWait, ForeignEndpointsAndTheBaseTransportCannotWait) {
+  VirtualClock clock(0);
+  ChaosTransport chaos(ChaosPlan{}, &clock);
+  Result<std::unique_ptr<Listener>> listener = chaos.Listen("srv");
+  ASSERT_TRUE(listener.ok());
+  Result<std::unique_ptr<Connection>> conn = chaos.Connect("srv");
+  ASSERT_TRUE(conn.ok());
+  const WaitInterest interest{conn->get(), false};
+  EXPECT_FALSE(chaos.WaitReady(listener->get(), {&interest, 1}, 1'000'000));
+  PosixTransport posix;
+  EXPECT_FALSE(posix.WaitReady(listener->get(), {}, 1'000'000));
+  EXPECT_FALSE(posix.WaitReady(nullptr, {&interest, 1}, 1'000'000));
+}
+
+// Forwards Listen/Connect and keeps the base WaitReady, like a decorator
+// written without the wait: its callers must fall back to the clock nap.
+class PassThroughTransport : public Transport {
+ public:
+  explicit PassThroughTransport(Transport& inner) : inner_(inner) {}
+  Result<std::unique_ptr<Listener>> Listen(
+      const std::string& address) override {
+    return inner_.Listen(address);
+  }
+  Result<std::unique_ptr<Connection>> Connect(
+      const std::string& address) override {
+    return inner_.Connect(address);
+  }
+
+ private:
+  Transport& inner_;
+};
+
+TEST(ProbeServer, ClientOverTransportWithoutWaitFallsBackToNap) {
+  consent::SharedDatabase sdb = testing::RecruitmentDatabase();
+  EngineOptions eopts;
+  eopts.num_threads = 1;
+  SessionEngine engine(sdb, eopts);
+  PosixTransport posix;
+  ProbeServer server(engine, posix);
+  ASSERT_TRUE(server.Listen("0").ok());
+  server.Start();
+
+  PassThroughTransport plain(posix);
+  ValuationOracle oracle(FullValuation(sdb, false));
+  ProbeClient client(plain, server.address(), &oracle);
+  Result<std::string> json = client.Decide(testing::RecruitmentQuerySql());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+
+  ValuationOracle baseline_oracle(FullValuation(sdb, false));
+  EXPECT_EQ(*json, BaselineJson(sdb, testing::RecruitmentQuerySql(),
+                                baseline_oracle));
+  EXPECT_EQ(client.stats().reconnects, 0u);
+  EXPECT_EQ(client.stats().stalls, 0u);
+  server.Shutdown(/*drain_deadline_nanos=*/1'000'000'000);
+}
+
+TEST(ProbeServer, ShutdownJoinsThePumpWhileItWaits) {
+  consent::SharedDatabase sdb = testing::RecruitmentDatabase();
+  EngineOptions eopts;
+  eopts.num_threads = 1;
+  SessionEngine engine(sdb, eopts);
+  PosixTransport posix;
+  ProbeServer server(engine, posix);
+  ASSERT_TRUE(server.Listen("0").ok());
+  server.Start();
+
+  // An accepted connection that never sends keeps the pump in its wait.
+  RawConn idle(posix, server.address());
+  const int64_t give_up = RealClock()->NowNanos() + kNeverNanos;
+  while (server.stats().connections == 0) {
+    ASSERT_LT(RealClock()->NowNanos(), give_up);
+  }
+  server.Shutdown(/*drain_deadline_nanos=*/0);
+  EXPECT_EQ(server.stats().connections, 0u);
+  EXPECT_EQ(server.stats().accepted_connections, 1u);
 }
 
 }  // namespace
